@@ -128,15 +128,6 @@ type Gateway struct {
 	limit        atomic.Int64
 	pressureBits atomic.Uint64
 
-	sessionsOpened  atomic.Int64
-	sessionsShed    atomic.Int64
-	sessionsExpired atomic.Int64
-	blocksProxied   atomic.Int64
-	tuplesProxied   atomic.Int64
-	failovers       atomic.Int64
-	standbyReplays  atomic.Int64
-	fallbackReplays atomic.Int64
-
 	metrics *gwMetrics
 	mux     *http.ServeMux
 }
@@ -326,7 +317,6 @@ func (g *Gateway) ExpireIdle(now time.Time) int {
 		sess.mu.Unlock()
 		b.sessions.Add(-1)
 		g.cursors.Add(-1)
-		g.sessionsExpired.Add(1)
 		g.metrics.sessionsExpired.Inc()
 		g.deleteBackendSession(b, bid)
 		g.logf("session %s expired idle", sess.id)
@@ -375,7 +365,7 @@ func (g *Gateway) SessionCount() int {
 }
 
 // Failovers reports transparent failovers performed so far.
-func (g *Gateway) Failovers() int64 { return g.failovers.Load() }
+func (g *Gateway) Failovers() int64 { return g.metrics.failovers.Value() }
 
 // healthy reports whether a backend's breaker currently admits traffic.
 func (g *Gateway) healthy(url string) bool {
@@ -390,7 +380,6 @@ func (g *Gateway) admit(w http.ResponseWriter) bool {
 	n := g.cursors.Add(1)
 	if max := g.limit.Load(); max > 0 && n > max {
 		g.cursors.Add(-1)
-		g.sessionsShed.Add(1)
 		g.metrics.sessionsShed.Inc()
 		p := g.AdmissionPressure()
 		d := time.Duration(math.Round(float64(g.cfg.RetryAfter) * (1 + p)))
@@ -478,7 +467,6 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	g.mu.Unlock()
 	placed.sessions.Add(1)
 	committed = true
-	g.sessionsOpened.Add(1)
 	g.metrics.sessionsOpened.Inc()
 	g.logf("session %s opened on %s (backend id %s, offset %d)", id, placed.url, cr.Session, offset)
 
@@ -618,7 +606,6 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 				done:        ss.Done,
 				replayed:    true,
 			}
-			g.standbyReplays.Add(1)
 			g.metrics.standbyReplays.Inc()
 			g.writeBlock(w, sess, blk, seq, hasSeq, started)
 			return
@@ -745,7 +732,6 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 				done:        ss.Done,
 				replayed:    true,
 			}
-			g.standbyReplays.Add(1)
 			g.metrics.standbyReplays.Inc()
 			// Repeat retries of this seq can't be served by the promoted
 			// backend (translated seq 0); keep a private copy reachable.
@@ -788,7 +774,6 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 		sess.backendID = id
 		sess.seqBase = sess.lastSeq - 1
 		blk = pulled
-		g.fallbackReplays.Add(1)
 		g.metrics.fallbackReplays.Inc()
 	default:
 		// Fresh pull: resume the query at the committed cursor.
@@ -810,7 +795,6 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 	target.sessions.Add(1)
 	sess.backend = target
 	sess.failovers++
-	g.failovers.Add(1)
 	g.metrics.failovers.Inc()
 	// Prefer the proven-healthy successor for future picks too.
 	g.pool.Promote(target.ep)
@@ -869,8 +853,6 @@ func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxie
 		g.logf("session %s: write block: %v", sess.id, err)
 		return
 	}
-	g.blocksProxied.Add(1)
-	g.tuplesProxied.Add(int64(blk.tuples))
 	g.metrics.blocksProxied.Inc()
 	g.metrics.tuplesProxied.Add(int64(blk.tuples))
 	g.metrics.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
@@ -975,17 +957,19 @@ type Stats struct {
 	Sessions        []SessionInfo  `json:"sessions"`
 }
 
-// Stats snapshots the gateway's counters, backends, and live sessions.
+// Stats snapshots the gateway's counters (read from their registered
+// series), backends, and live sessions.
 func (g *Gateway) Stats() Stats {
+	m := g.metrics
 	st := Stats{
-		SessionsOpened:  g.sessionsOpened.Load(),
-		SessionsShed:    g.sessionsShed.Load(),
-		SessionsExpired: g.sessionsExpired.Load(),
-		BlocksProxied:   g.blocksProxied.Load(),
-		TuplesProxied:   g.tuplesProxied.Load(),
-		Failovers:       g.failovers.Load(),
-		StandbyReplays:  g.standbyReplays.Load(),
-		FallbackReplays: g.fallbackReplays.Load(),
+		SessionsOpened:  m.sessionsOpened.Value(),
+		SessionsShed:    m.sessionsShed.Value(),
+		SessionsExpired: m.sessionsExpired.Value(),
+		BlocksProxied:   m.blocksProxied.Value(),
+		TuplesProxied:   m.tuplesProxied.Value(),
+		Failovers:       m.failovers.Value(),
+		StandbyReplays:  m.standbyReplays.Value(),
+		FallbackReplays: m.fallbackReplays.Value(),
 		SessionLimit:    g.SessionLimit(),
 		Pressure:        g.AdmissionPressure(),
 	}

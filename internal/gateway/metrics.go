@@ -2,9 +2,10 @@ package gateway
 
 import "wsopt/internal/metrics"
 
-// gwMetrics holds the gateway's metric instruments. The gateway
-// re-exports an AGGREGATE view: per-backend health and replication lag
-// plus fleet-wide session/block/failover counters, so one scrape of the
+// gwMetrics holds the gateway's metric instruments — the only store of
+// its counters (Stats reads them back). The gateway re-exports an
+// AGGREGATE view: per-backend health and replication lag plus
+// fleet-wide session/block/failover counters, so one scrape of the
 // gateway describes the whole tier.
 type gwMetrics struct {
 	sessionsOpened  *metrics.Counter

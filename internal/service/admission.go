@@ -123,7 +123,6 @@ func (s *Server) admitCursor(w http.ResponseWriter) bool {
 	n := s.cursors.Add(1)
 	if max := s.admission.limit.Load(); max > 0 && n > max {
 		s.cursors.Add(-1)
-		s.stats.sessionsShed.Add(1)
 		s.metrics.sessionsShed.Inc()
 		s.shedHeaders(w.Header())
 		httpError(w, http.StatusServiceUnavailable,

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -142,6 +145,33 @@ func (f *faultInjector) forget(key string) {
 	sh.mu.Lock()
 	delete(sh.rngs, key)
 	sh.mu.Unlock()
+}
+
+// injectFault is the one drop/truncate site of the block endpoints: it
+// fires an injected fault on the block about to be written and does not
+// return when one fires. encode renders the block's bytes — the payload
+// under pull, the whole frame under push, nil for an ingest ack, which
+// has no body. A drop severs the connection before any byte is written;
+// a truncate writes the first half of the bytes (announcing the full
+// length) and flushes it before severing, so the client sees a partial
+// block. Truncating nothing is a drop.
+func (s *Server) injectFault(w http.ResponseWriter, id string, fault faultKind, encode func(io.Writer) error) {
+	if fault != faultDrop && fault != faultTruncate {
+		return
+	}
+	s.countFault(fault)
+	var buf bytes.Buffer
+	if fault == faultTruncate && encode != nil && encode(&buf) == nil && buf.Len() > 0 {
+		s.logf("%s: injected fault: truncating block", id)
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+		_, _ = w.Write(buf.Bytes()[:buf.Len()/2])
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+	} else {
+		s.logf("%s: injected fault: dropping connection", id)
+	}
+	abortConnection()
 }
 
 // abortConnection severs the client connection without completing the

@@ -93,7 +93,6 @@ func (s *Server) handleIngestCreate(w http.ResponseWriter, r *http.Request) {
 	ing.touch()
 	s.ingests.put(id, ing)
 	committed = true
-	s.stats.ingestsOpened.Add(1)
 	s.metrics.ingestsOpened.Inc()
 	s.logf("ingest %s opened: table=%s", id, req.Table)
 
@@ -167,7 +166,6 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 		case seq == sess.lastSeq && sess.lastSeq > 0:
 			// Duplicate of the last applied block (the client never saw
 			// our acknowledgement): ack again without loading it.
-			s.stats.blocksIngestReplayed.Add(1)
 			s.metrics.ingestReplays.Inc()
 			s.ackIngestBlock(w, sess.id, sess.lastTuples, sess.lastDelayMS, true, fault)
 			return
@@ -187,8 +185,6 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 	// derived by future sessions can never match pre-load entries.
 	s.cfg.Catalog.BumpVersion()
 	sess.tuples += len(rows)
-	s.stats.blocksIngested.Add(1)
-	s.stats.tuplesIngested.Add(int64(len(rows)))
 	s.metrics.blocksIngested.Inc()
 	s.metrics.tuplesIngested.Add(int64(len(rows)))
 	s.metrics.blockSize.Observe(float64(len(rows)))
@@ -214,11 +210,7 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 // applying any injected drop/truncate fault (both sever the connection —
 // a 204 has no body to truncate).
 func (s *Server) ackIngestBlock(w http.ResponseWriter, id string, tuples int, delayMS float64, replayed bool, fault faultKind) {
-	if fault == faultDrop || fault == faultTruncate {
-		s.countFault(fault)
-		s.logf("ingest %s: injected fault: dropping connection", id)
-		abortConnection()
-	}
+	s.injectFault(w, id, fault, nil)
 	w.Header().Set(HeaderBlockTuples, strconv.Itoa(tuples))
 	w.Header().Set(HeaderInjectedDelayMS, strconv.FormatFloat(delayMS, 'f', 3, 64))
 	if replayed {

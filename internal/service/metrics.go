@@ -1,12 +1,15 @@
 package service
 
 import (
+	"time"
+
 	"wsopt/internal/metrics"
 )
 
-// serviceMetrics mirrors the Stats counters into a metrics.Registry so
-// the same signals are scrapeable at /metrics. All series are registered
-// eagerly (value 0) so a scrape sees the full schema before traffic.
+// serviceMetrics holds the service's series in a metrics.Registry — the
+// only store of its counters: Stats reads them back, so /stats and
+// /metrics cannot disagree. All series are registered eagerly (value 0)
+// so a scrape sees the full schema before traffic.
 type serviceMetrics struct {
 	sessionsOpened *metrics.Counter
 	ingestsOpened  *metrics.Counter
@@ -93,17 +96,38 @@ func newServiceMetrics(reg *metrics.Registry, s *Server) *serviceMetrics {
 	return m
 }
 
-// countFault records an injected fault in both Stats and metrics.
+// countFault records an injected fault.
 func (s *Server) countFault(k faultKind) {
 	switch k {
 	case faultDrop:
-		s.stats.faultsDropped.Add(1)
 		s.metrics.faultsDropped.Inc()
 	case faultTruncate:
-		s.stats.faultsTruncated.Add(1)
 		s.metrics.faultsTruncated.Inc()
 	case fault503:
-		s.stats.faultsRefused.Add(1)
 		s.metrics.faultsRefused.Inc()
+	}
+}
+
+// accountServed records one block fully written to a client — the one
+// served-block accounting site both transports share. started is when
+// serving this block began: a pull's arrival at the handler, or a push
+// producer taking the session lock for it (credit wait excluded), so
+// the serve-time histogram the SLO regulator closes its loop on sees
+// every served block, pulled or pushed.
+func (s *Server) accountServed(rb *replayBlock, replayed, push bool, started time.Time) {
+	m := s.metrics
+	m.blocksServed.Inc()
+	m.tuplesServed.Add(int64(rb.tuples))
+	m.blockSize.Observe(float64(rb.tuples))
+	m.blockDelay.Observe(rb.delayMS)
+	m.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
+	if replayed {
+		m.blocksReplayed.Inc()
+	}
+	if push {
+		m.pushFramesSent.Inc()
+		if replayed {
+			m.pushFramesReplayed.Inc()
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"wsopt/internal/blockcache"
 	"wsopt/internal/netsim"
 	"wsopt/internal/replica"
+	"wsopt/internal/wire"
 )
 
 // TestPooledBufferNotReusedWhileReplayLive is the liveness proof for the
@@ -45,9 +47,9 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		if !ok {
 			t.Fatalf("seq %d: session vanished", seq)
 		}
-		sess.mu.Lock()
-		rb := sess.replay
-		sess.mu.Unlock()
+		sess.tail.mu.Lock()
+		rb := sess.tail.blocks[len(sess.tail.blocks)-1]
+		sess.tail.mu.Unlock()
 		if rb == nil || rb.buf == nil {
 			t.Fatalf("seq %d: live replay has no pooled buffer", seq)
 		}
@@ -268,5 +270,135 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				t.Fatalf("%d replay blocks released, want 2 (close-racing pull must release its own commit)", n)
 			}
 		})
+	}
+}
+
+// TestTailRefcountBalance pins the retained tail's release discipline
+// across both transports, with replication on (a third holder of every
+// block) and with the cache off and on: once the session closes and the
+// replication log drops its records, every committed block has been
+// released exactly once — no leak, no double release — including the
+// blocks served again from the tail (pull same-seq retries, a push
+// reconnect's replay).
+func TestTailRefcountBalance(t *testing.T) {
+	for _, push := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			name := map[bool]string{false: "pull", true: "push"}[push] + map[bool]string{false: "", true: "-cached"}[cached]
+			t.Run(name, func(t *testing.T) {
+				var mu sync.Mutex
+				releases := map[*replayBlock]int{}
+				testReplayRelease = func(rb *replayBlock) {
+					mu.Lock()
+					releases[rb]++
+					mu.Unlock()
+				}
+				defer func() { testReplayRelease = nil }()
+
+				rlog := replica.NewLog(1024)
+				cfg := Config{Catalog: testCatalog(t, 300), Codec: wire.Binary{}, Replica: rlog}
+				if cached {
+					c, err := blockcache.New(blockcache.Config{MemBytes: 1 << 20})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Cache = c
+				}
+				_, ts := newTestServer(t, cfg)
+				id, _ := openSession(t, ts, `{"table":"items"}`)
+				var blocks uint64
+				if push {
+					blocks = pushWithReconnect(t, ts, id)
+				} else {
+					blocks = pullWithRetries(t, ts, id)
+				}
+
+				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				rlog.Close()
+
+				// A producer the reconnect took over may still be finishing
+				// its last write; its reference drops when that returns.
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					mu.Lock()
+					n := len(releases)
+					mu.Unlock()
+					if n >= int(blocks) || time.Now().After(deadline) {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(releases) != int(blocks) {
+					t.Fatalf("%d blocks released, want all %d committed", len(releases), blocks)
+				}
+				for rb, n := range releases {
+					if n != 1 || rb.refs.Load() != 0 {
+						t.Fatalf("block released %d times with %d references left, want once with 0", n, rb.refs.Load())
+					}
+				}
+			})
+		}
+	}
+}
+
+// pullWithRetries pulls the whole result set, retrying every seq once
+// (a same-seq replay from the tail), and returns the blocks committed.
+func pullWithRetries(t *testing.T, ts *httptest.Server, id string) uint64 {
+	t.Helper()
+	for seq := 1; ; seq++ {
+		var done string
+		for try := 0; try < 2; try++ {
+			resp := pullSeq(t, ts, id, 25, seq)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("seq %d: %s", seq, resp.Status)
+			}
+			done = resp.Header.Get(HeaderBlockDone)
+		}
+		if done == "true" {
+			return uint64(seq)
+		}
+	}
+}
+
+// pushWithReconnect streams the whole result set over two streams: the
+// first dies with frames delivered but unacked, the second resumes from
+// the first unacked seq (replaying the tail) and drains to the end. It
+// returns the blocks committed.
+func pushWithReconnect(t *testing.T, ts *httptest.Server, id string) uint64 {
+	t.Helper()
+	pc, resp := openStream(t, ts, id, 25, 4, 0)
+	if pc == nil {
+		t.Fatalf("stream open: %s", resp.Status)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := pc.read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pc.ack(t, 1)
+	pc.close()
+
+	pc, resp = openStream(t, ts, id, 25, 4, 2)
+	if pc == nil {
+		t.Fatalf("reopen: %s", resp.Status)
+	}
+	defer pc.close()
+	for want := uint64(2); ; want++ {
+		f, err := pc.read()
+		if err != nil || f.Type != wire.FrameData || f.Seq != want {
+			t.Fatalf("frame %+v (%v), want data seq %d", f, err, want)
+		}
+		pc.ack(t, f.Seq)
+		if f.Done {
+			return f.Seq
+		}
 	}
 }

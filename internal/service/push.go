@@ -1,12 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"wsopt/internal/wire"
 )
@@ -24,13 +25,13 @@ import (
 //
 // where `acked` is the cumulative highest block sequence the client has
 // durably consumed. Blocks, sequence numbers, commit points, pricing,
-// the replay buffer and replication are all shared with the pull path —
-// the stream handler drives the same produceBlockLocked the pull
-// handler does, so exactly-once across reconnects and failovers holds
-// by the same argument. The transport differences are confined here:
-// frames instead of per-block responses, and a retained tail of
-// unacked frames (instead of just the last block) so a reconnect can
-// replay everything past the client's last ack.
+// the retained tail, fault injection, serve accounting and replication
+// are all shared with the pull path — the stream handler drives the
+// same produceBlockLocked and serveBlock the pull handler does, so
+// exactly-once across reconnects and failovers holds by the same
+// argument. Pull is a credit window of one on the session's tail; push
+// widens the window to W. What is left here is the envelope (frames
+// instead of per-block responses) and the credit bookkeeping.
 
 // Push transport defaults, exported for flag tables and docs.
 const (
@@ -40,20 +41,13 @@ const (
 	DefaultPushMaxFrameBytes = 8 << 20
 )
 
-// pushFrame is one committed-but-unacked block retained for replay to a
-// reconnecting stream. rb is retained (refcounted) by the list.
-type pushFrame struct {
-	seq uint64
-	rb  *replayBlock
-}
-
-// pushState is a session's push-mode bookkeeping. It is created by the
-// first stream open and lives until the session closes. Lock order:
-// sess.mu before ps.mu, never the reverse — the producer takes ps.mu
-// only in short critical sections and sleeps holding neither (credit
-// waits) or only sess.mu (the priced delay, exactly like a pull).
+// pushState is a session's push-mode credit bookkeeping, created by the
+// first stream open and living until the session closes. Its fields are
+// guarded by the session tail's mutex, which is also cond's lock: the
+// credit window is measured on the tail, so one lock covers both. The
+// producer sleeps holding neither lock (credit waits) or only sess.mu
+// (the priced delay, exactly like a pull).
 type pushState struct {
-	mu   sync.Mutex
 	cond *sync.Cond
 
 	// gen is the stream generation. Opening a stream bumps it; a
@@ -62,45 +56,31 @@ type pushState struct {
 	// forward and a reconnect cleanly takes over mid-result-set.
 	gen uint64
 
-	// size, window and acked are the client's latest grant: produce
-	// blocks of `size` tuples while fewer than `window` blocks are
-	// committed past `acked`.
+	// size and window are the client's latest grant: produce blocks of
+	// `size` tuples while fewer than `window` blocks are retained unacked.
 	size   int
 	window int
-	acked  uint64
-
-	// produced mirrors sess.lastSeq so the credit wait does not need
-	// the session lock.
-	produced uint64
-
-	// frames retains every committed-but-unacked block, ascending seqs
-	// in (acked, produced].
-	frames []pushFrame
-
-	// closed flips when the session is deleted or expires; wakes and
-	// stops the producer.
-	closed bool
 }
 
-func newPushState(size, window int) *pushState {
-	ps := &pushState{size: size, window: window}
-	ps.cond = sync.NewCond(&ps.mu)
-	return ps
-}
+// errPushClosed and errPushTakeover report why a producer's credit wait
+// ended without credit: the session closed or a newer stream took the
+// session over.
+var (
+	errPushClosed   = fmt.Errorf("service: session closed")
+	errPushTakeover = fmt.Errorf("service: a newer stream took over the session")
+)
 
 // grant applies a credit update. Acks are cumulative: a stale or
 // repeated grant can never un-ack. Returns false when the ack is ahead
 // of anything produced — a protocol error by the client.
-func (ps *pushState) grant(acked uint64, window, size int) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if acked > ps.produced {
+func (sess *session) grant(ps *pushState, acked uint64, window, size int) bool {
+	t := &sess.tail
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if acked > t.last {
 		return false
 	}
-	if acked > ps.acked {
-		ps.acked = acked
-		ps.releaseAckedLocked()
-	}
+	t.ackLocked(acked)
 	if window > 0 {
 		ps.window = window
 	}
@@ -111,40 +91,6 @@ func (ps *pushState) grant(acked uint64, window, size int) bool {
 	return true
 }
 
-// releaseAckedLocked drops retained frames the client has acked.
-func (ps *pushState) releaseAckedLocked() {
-	i := 0
-	for ; i < len(ps.frames) && ps.frames[i].seq <= ps.acked; i++ {
-		releaseReplay(ps.frames[i].rb)
-		ps.frames[i].rb = nil
-	}
-	if i > 0 {
-		ps.frames = append(ps.frames[:0], ps.frames[i:]...)
-	}
-}
-
-// close wakes everyone and releases the retained tail. Called from the
-// session close/expiry paths (without sess.mu — the frame list has its
-// own lock and the refcounts make double-release impossible).
-func (ps *pushState) close() {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.closed = true
-	for i := range ps.frames {
-		releaseReplay(ps.frames[i].rb)
-		ps.frames[i].rb = nil
-	}
-	ps.frames = ps.frames[:0]
-	ps.cond.Broadcast()
-}
-
-// errPushStopped reports why a producer's credit wait ended without
-// credit: the session closed or a newer stream took the session over.
-var (
-	errPushClosed   = fmt.Errorf("service: session closed")
-	errPushTakeover = fmt.Errorf("service: a newer stream took over the session")
-)
-
 // waitCredit blocks until the window has room (returning the granted
 // block size), the session closes, a newer generation takes over, or
 // the stream's context dies. onStall fires once, before the first
@@ -152,81 +98,58 @@ var (
 // visible while the producer is still parked. The caller must have
 // arranged for ctx's cancellation to broadcast ps.cond
 // (context.AfterFunc), or the wait could sleep past a dead connection.
-func (ps *pushState) waitCredit(ctx context.Context, gen uint64, maxWindow int, onStall func()) (int, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+func (sess *session) waitCredit(ctx context.Context, ps *pushState, gen uint64, maxWindow int, onStall func()) (int, error) {
+	t := &sess.tail
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	stalled := false
 	for {
 		switch {
-		case ps.closed:
+		case t.closed:
 			return 0, errPushClosed
 		case ps.gen != gen:
 			return 0, errPushTakeover
 		case ctx.Err() != nil:
 			return 0, ctx.Err()
 		}
-		window := ps.window
-		if window > maxWindow {
-			window = maxWindow
-		}
-		if ps.produced < ps.acked+uint64(window) && ps.size > 0 {
+		if len(t.blocks) < min(ps.window, maxWindow) && ps.size > 0 {
 			return ps.size, nil
 		}
 		if !stalled {
 			stalled = true
-			if onStall != nil {
-				onStall()
-			}
+			onStall()
 		}
 		ps.cond.Wait()
 	}
 }
 
 // takeover bumps the generation for a newly opened stream and collects
-// the retained frames the new stream must replay (seq >= from), each
-// with an extra reference for the caller's writes. Caller holds
-// sess.mu; acking from-1 is the open's implied cumulative ack.
-func (ps *pushState) takeover(from uint64, size, window int) (gen uint64, replay []pushFrame, ok bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if from <= ps.acked {
+// the retained blocks the new stream must replay (seq >= from), each
+// with a reference for the caller's writes. Acking from-1 is the open's
+// implied cumulative ack; a `from` inside the acked prefix is refused.
+// Caller holds sess.mu.
+func (sess *session) takeover(ps *pushState, from uint64, size, window int) (gen uint64, replay []*replayBlock, ok bool) {
+	t := &sess.tail
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if from <= t.ackedLocked() {
 		// The client wants bytes it already acked; they are gone.
 		return 0, nil, false
 	}
 	ps.gen++
 	ps.size = size
 	ps.window = window
-	if from-1 > ps.acked {
-		ps.acked = from - 1
-		ps.releaseAckedLocked()
-	}
-	for _, f := range ps.frames {
-		if f.seq >= from {
-			f.rb.retain()
-			replay = append(replay, f)
-		}
-	}
+	t.ackLocked(from - 1)
 	ps.cond.Broadcast()
-	return ps.gen, replay, true
+	return ps.gen, t.fromLocked(from), true
 }
 
-// checkGen reports whether gen is still the live stream generation.
-func (ps *pushState) checkGen(gen uint64) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.gen == gen && !ps.closed
-}
-
-// record appends a freshly committed block to the retained tail and
-// takes the writer's own reference. Returns the frames retained count
-// for the in-flight gauge.
-func (ps *pushState) record(seq uint64, rb *replayBlock) {
-	rb.retain() // the frames list's reference
-	rb.retain() // the caller's write reference
-	ps.mu.Lock()
-	ps.produced = seq
-	ps.frames = append(ps.frames, pushFrame{seq: seq, rb: rb})
-	ps.mu.Unlock()
+// liveGen reports whether gen is still the live stream generation of an
+// open session.
+func (sess *session) liveGen(ps *pushState, gen uint64) bool {
+	sess.tail.mu.Lock()
+	defer sess.tail.mu.Unlock()
+	return ps.gen == gen && !sess.tail.closed
 }
 
 // pushQuery parses the stream/credit query parameters shared by both
@@ -269,8 +192,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if window > s.cfg.PushMaxWindow {
 		window = s.cfg.PushMaxWindow
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported by this connection")
 		return
 	}
@@ -290,44 +212,42 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ps := sess.push.Load()
 	if ps == nil {
-		ps = newPushState(size, window)
-		if !sess.push.CompareAndSwap(nil, ps) {
-			ps = sess.push.Load()
-		}
+		// Set only here, under sess.mu, so no other open can race it.
+		ps = &pushState{size: size, window: window}
+		ps.cond = sync.NewCond(&sess.tail.mu)
+		sess.push.Store(ps)
 	}
-	from, err := pushQuery(r, "from", sess.lastSeq+1)
+	// The next seq is read under the lock: a live producer commits
+	// under it, so no session field may be read after Unlock.
+	next := sess.lastSeq + 1
+	from, err := pushQuery(r, "from", next)
 	if err != nil || from < 1 {
 		sess.mu.Unlock()
 		httpError(w, http.StatusBadRequest, "from must be a positive integer")
 		return
 	}
-	if from > sess.lastSeq+1 {
+	if from > next {
 		sess.mu.Unlock()
-		httpError(w, http.StatusConflict,
-			"from %d beyond the next block %d", from, sess.lastSeq+1)
+		httpError(w, http.StatusConflict, "from %d beyond the next block %d", from, next)
 		return
 	}
-	gen, replays, ok := ps.takeover(from, size, window)
+	gen, replays, ok := sess.takeover(ps, from, size, window)
 	sess.mu.Unlock()
 	if !ok {
-		for i := range replays {
-			releaseReplay(replays[i].rb)
-		}
 		httpError(w, http.StatusConflict,
 			"from %d inside the acked prefix — those frames are released", from)
 		return
 	}
 
-	s.stats.pushStreamsOpened.Add(1)
 	s.metrics.pushStreamsOpened.Inc()
 	s.logf("session %s: push stream opened (gen %d, from %d, size %d, window %d)", sess.id, gen, from, size, window)
 
 	// Cancellation must wake a producer parked on ps.cond: the
 	// connection dying is otherwise invisible to a Wait.
 	stopWake := context.AfterFunc(r.Context(), func() {
-		ps.mu.Lock()
+		sess.tail.mu.Lock()
 		ps.cond.Broadcast()
-		ps.mu.Unlock()
+		sess.tail.mu.Unlock()
 	})
 	defer stopWake()
 
@@ -335,44 +255,40 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	// Replay the retained tail past the client's ack first; a reconnect
-	// resumes mid-result-set without touching the iterator.
-	for i := range replays {
-		f := replays[i]
-		err := s.writeFrame(w, flusher, sess, f.seq, f.rb, true)
-		releaseReplay(f.rb)
-		if err != nil {
-			for j := i + 1; j < len(replays); j++ {
-				releaseReplay(replays[j].rb)
-			}
+	// resumes mid-result-set without touching the iterator. Blocks left
+	// unwritten when the stream dies are released on the way out.
+	defer func() {
+		for _, rb := range replays {
+			releaseReplay(rb)
+		}
+	}()
+	for seq := from; len(replays) > 0; seq++ {
+		rb := replays[0]
+		replays = replays[1:]
+		if s.writeFrame(w, sess, seq, rb, true, time.Now()) != nil {
 			return
 		}
 	}
 
-	s.runPushProducer(w, flusher, r, sess, ps, gen)
+	s.runPushProducer(w, r, sess, ps, gen)
 }
 
 // runPushProducer is the stream's serve loop: wait for credit, produce
 // one block through the shared pull path, frame and flush it.
-func (s *Server) runPushProducer(w http.ResponseWriter, flusher http.Flusher, r *http.Request, sess *session, ps *pushState, gen uint64) {
+func (s *Server) runPushProducer(w http.ResponseWriter, r *http.Request, sess *session, ps *pushState, gen uint64) {
 	for {
-		size, err := ps.waitCredit(r.Context(), gen, s.cfg.PushMaxWindow, func() {
-			s.stats.pushCreditStalls.Add(1)
-			s.metrics.pushCreditStalls.Inc()
-		})
+		size, err := sess.waitCredit(r.Context(), ps, gen, s.cfg.PushMaxWindow, s.metrics.pushCreditStalls.Inc)
 		if err != nil {
 			s.logf("session %s: push stream ends: %v", sess.id, err)
 			return
 		}
 
 		sess.touch()
+		started := time.Now()
 		sess.mu.Lock()
-		if sess.closed.Load() {
-			sess.mu.Unlock()
-			return
-		}
-		if !ps.checkGen(gen) {
-			// A reconnect took over between the credit wait and the
-			// session lock; producing here would skip its replay window.
+		if !sess.liveGen(ps, gen) {
+			// Closed, or a reconnect took over between the credit wait and
+			// the session lock; producing here would skip its replay window.
 			sess.mu.Unlock()
 			return
 		}
@@ -383,56 +299,42 @@ func (s *Server) runPushProducer(w http.ResponseWriter, flusher http.Flusher, r 
 			return
 		}
 		rb, alive, err := s.produceBlockLocked(r.Context(), sess, size)
+		seq := sess.lastSeq
+		sess.mu.Unlock()
 		if err == errProduceCancelled {
-			sess.mu.Unlock()
 			return
 		}
 		if err != nil {
-			sess.mu.Unlock()
-			s.writeErrorFrame(w, flusher, sess, err)
+			s.writeErrorFrame(w, sess, err)
 			return
 		}
-		seq := sess.lastSeq
-		if !alive {
-			// Session raced its close while we held the lock; commitLocked
-			// released the session-owned buffers and we own rb. Write the
-			// frame the client is owed, then stop.
-			sess.mu.Unlock()
-			_ = s.writeFrame(w, flusher, sess, seq, rb, false)
+		// The block is committed and retained (unless the session raced
+		// its close, in which case this write is the client's last): it
+		// survives in the tail for a reconnect's replay whatever happens
+		// to this write.
+		if n := len(rb.payload); n > s.cfg.PushMaxFrameBytes {
 			releaseReplay(rb)
+			s.writeErrorFrame(w, sess, fmt.Errorf(
+				"block %d encodes to %d bytes, past the %d push frame cap — lower the block size or raise -push-max-frame",
+				seq, n, s.cfg.PushMaxFrameBytes))
 			return
-		}
-		tooBig := len(rb.payload) > s.cfg.PushMaxFrameBytes
-		if !tooBig {
-			ps.record(seq, rb)
 		}
 		done := rb.done
-		sess.mu.Unlock()
-
-		if tooBig {
-			s.writeErrorFrame(w, flusher, sess, fmt.Errorf(
-				"block %d encodes to %d bytes, past the %d push frame cap — lower the block size or raise -push-max-frame",
-				seq, len(rb.payload), s.cfg.PushMaxFrameBytes))
-			return
-		}
-		err = s.writeFrame(w, flusher, sess, seq, rb, false)
-		releaseReplay(rb) // the writer's reference from record()
-		if err != nil {
-			return
-		}
-		if done {
-			// Chunked EOF after the done frame: the client drains to EOF
-			// and the connection goes back to its keep-alive pool.
+		if s.writeFrame(w, sess, seq, rb, false, started) != nil || done || !alive {
+			// After the done frame comes the chunked EOF: the client
+			// drains to it and the connection returns to its keep-alive
+			// pool.
 			return
 		}
 	}
 }
 
-// writeFrame frames one committed block onto the stream and flushes it,
-// applying any injected drop/truncate fault (which severs the whole
-// stream — the client reconnects and the unacked tail replays). Serve
-// accounting matches the pull path: a frame counts once fully written.
-func (s *Server) writeFrame(w http.ResponseWriter, flusher http.Flusher, sess *session, seq uint64, rb *replayBlock, replayed bool) error {
+// writeFrame frames one committed block onto the stream through the
+// shared serve path, consuming the caller's reference: same fault
+// injection, same accounting as a pull, so a frame counts once fully
+// written and flushed. An injected drop or truncate severs the whole
+// stream — the client reconnects and the unacked tail replays.
+func (s *Server) writeFrame(w http.ResponseWriter, sess *session, seq uint64, rb *replayBlock, replayed bool, started time.Time) error {
 	f := wire.Frame{
 		Type:    wire.FrameData,
 		Seq:     seq,
@@ -442,53 +344,21 @@ func (s *Server) writeFrame(w http.ResponseWriter, flusher http.Flusher, sess *s
 		DelayMS: rb.delayMS,
 		Payload: rb.payload,
 	}
-	switch fault := s.faults.decide(sess.id); fault {
-	case faultDrop:
-		s.countFault(fault)
-		s.logf("session %s: injected fault: dropping push stream", sess.id)
-		abortConnection()
-	case faultTruncate:
-		s.countFault(fault)
-		s.logf("session %s: injected fault: truncating push frame %d", sess.id, seq)
-		var buf bytes.Buffer
-		if err := wire.WriteFrame(&buf, f); err == nil {
-			_, _ = w.Write(buf.Bytes()[:buf.Len()/2])
-			flusher.Flush()
-		}
-		abortConnection()
-	}
-	if err := wire.WriteFrame(w, f); err != nil {
-		s.logf("session %s: write frame %d: %v", sess.id, seq, err)
-		return err
-	}
-	flusher.Flush()
-	s.stats.blocksServed.Add(1)
-	s.stats.tuplesServed.Add(int64(rb.tuples))
-	s.stats.pushFramesSent.Add(1)
-	s.metrics.blocksServed.Inc()
-	s.metrics.tuplesServed.Add(int64(rb.tuples))
-	s.metrics.pushFramesSent.Inc()
-	s.metrics.blockSize.Observe(float64(rb.tuples))
-	s.metrics.blockDelay.Observe(rb.delayMS)
-	if replayed {
-		s.stats.blocksReplayed.Add(1)
-		s.stats.pushFramesReplayed.Add(1)
-		s.metrics.blocksReplayed.Inc()
-		s.metrics.pushFramesReplayed.Inc()
-	}
-	return nil
+	return s.serveBlock(w, sess, rb, s.faults.decide(sess.id), replayed, true, started, func(dst io.Writer) error {
+		return wire.WriteFrame(dst, f)
+	})
 }
 
 // writeErrorFrame terminates the stream with an in-band error. The
 // session state is untouched: whatever was committed stays replayable.
-func (s *Server) writeErrorFrame(w http.ResponseWriter, flusher http.Flusher, sess *session, cause error) {
+func (s *Server) writeErrorFrame(w http.ResponseWriter, sess *session, cause error) {
 	s.logf("session %s: push stream error: %v", sess.id, cause)
 	f := wire.Frame{Type: wire.FrameError, Payload: []byte(cause.Error())}
 	if err := wire.WriteFrame(w, f); err != nil {
 		s.logf("session %s: write error frame: %v", sess.id, err)
 		return
 	}
-	flusher.Flush()
+	w.(http.Flusher).Flush()
 }
 
 // handleCredit serves POST /sessions/{id}/credit: the client's
@@ -527,12 +397,11 @@ func (s *Server) handleCredit(w http.ResponseWriter, r *http.Request) {
 	if window > s.cfg.PushMaxWindow {
 		window = s.cfg.PushMaxWindow
 	}
-	if !ps.grant(acked, window, int(size64)) {
+	if !sess.grant(ps, acked, window, int(size64)) {
 		httpError(w, http.StatusConflict, "acked %d is ahead of production", acked)
 		return
 	}
 	sess.touch()
-	s.stats.pushCreditGrants.Add(1)
 	s.metrics.pushCreditGrants.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -11,6 +11,7 @@ import (
 
 	"wsopt/internal/blockcache"
 	"wsopt/internal/minidb"
+	"wsopt/internal/netsim"
 	"wsopt/internal/wire"
 )
 
@@ -461,5 +462,93 @@ func TestPushCacheServesWarmFrames(t *testing.T) {
 	}
 	if st.MemHits == 0 {
 		t.Fatal("warm push pass recorded no cache hits")
+	}
+}
+
+// TestPushStaleFromRaceWithProducer is the -race regression for the
+// 409 paths of a stream open: while a live producer commits block after
+// block under the session lock (each one held there by a priced delay),
+// reconnects with a `from` inside the acked prefix or beyond the next
+// block are refused. Formatting the refusal must not read session state
+// after the lock is released.
+func TestPushStaleFromRaceWithProducer(t *testing.T) {
+	cfg := Config{
+		Catalog:    testCatalog(t, 2000),
+		Codec:      wire.Binary{},
+		CostModel:  netsim.CostModel{LatencyMS: 2},
+		SleepScale: 1,
+	}
+	_, ts := newTestServer(t, cfg)
+	id, _ := openSession(t, ts, `{"table":"items"}`)
+	pc, resp := openStream(t, ts, id, 10, 8, 0)
+	if pc == nil {
+		t.Fatalf("stream open: %s", resp.Status)
+	}
+	defer pc.close()
+	f, err := pc.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.ack(t, f.Seq)
+
+	// Keep the producer committing: read and ack on the side.
+	consumerErr := make(chan error, 1)
+	go func() {
+		for {
+			f, err := pc.read()
+			if err != nil || f.Type != wire.FrameData {
+				consumerErr <- fmt.Errorf("frame %+v: %v", f, err)
+				return
+			}
+			resp, err := http.Post(fmt.Sprintf("%s/sessions/%s/credit?acked=%d", ts.URL, id, f.Seq), "", nil)
+			if err != nil {
+				consumerErr <- err
+				return
+			}
+			resp.Body.Close()
+			if f.Done {
+				consumerErr <- nil
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < 20; i++ {
+		for _, from := range []uint64{1, 1 << 40} {
+			pc2, resp := openStream(t, ts, id, 10, 8, from)
+			if pc2 != nil {
+				pc2.close()
+				t.Fatalf("stream open from=%d succeeded, want 409", from)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("from=%d: %s, want 409", from, resp.Status)
+			}
+		}
+	}
+	if err := <-consumerErr; err != nil {
+		t.Fatalf("consumer: %v", err)
+	}
+}
+
+// TestPushFramesFeedBlockServe: push frames reach the block-serve
+// histogram the SLO regulator closes its loop on, one observation per
+// frame written — a push-only transfer is not invisible to it.
+func TestPushFramesFeedBlockServe(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 237), Codec: wire.Binary{}})
+	id, _ := openSession(t, ts, `{"table":"items"}`)
+	before := srv.BlockServeSnapshot().Count
+	pc, resp := openStream(t, ts, id, 20, 4, 0)
+	if pc == nil {
+		t.Fatalf("stream open: %s", resp.Status)
+	}
+	_, frames := drainStream(t, pc, wire.Binary{})
+	pc.close()
+	if got := srv.BlockServeSnapshot().Count - before; got != int64(frames) {
+		t.Fatalf("block-serve histogram advanced by %d, want %d (one per frame)", got, frames)
+	}
+	if sent := srv.Stats().PushFramesSent; sent != int64(frames) {
+		t.Fatalf("PushFramesSent = %d, want %d", sent, frames)
 	}
 }

@@ -16,10 +16,11 @@
 // scale.
 //
 // The per-block hot path is lock-free across sessions: the session maps
-// are sharded (shard.go), the Stats counters are atomics (stats.go), the
-// load knob is an atomic pointer, and the delay-noise RNG is per-session
-// — so concurrent sessions only synchronize on their own session mutex
-// and throughput scales with cores (see DESIGN.md §9).
+// are sharded (shard.go), the counters are the metrics registry's
+// atomics (stats.go), the load knob is an atomic pointer, and the
+// delay-noise RNG is per-session — so concurrent sessions only
+// synchronize on their own session's locks and throughput scales with
+// cores (see DESIGN.md §9).
 package service
 
 import (
@@ -58,7 +59,7 @@ const (
 	// under (absent for legacy pulls that sent no seq).
 	HeaderBlockSeq = "X-Block-Seq"
 	// HeaderBlockReplay is "true" when the block was served from the
-	// replay buffer rather than by advancing the iterator.
+	// session's retained tail rather than by advancing the iterator.
 	HeaderBlockReplay = "X-Block-Replay"
 )
 
@@ -166,9 +167,9 @@ type Config struct {
 // Server is the block-pull web service.
 //
 // There is no global mutex on the request path: sessions and ingests are
-// sharded stores, stats are atomic counters, load is an atomic pointer,
-// and cursor admission is an atomic reservation counter. A request
-// synchronizes only with other requests for the same session.
+// sharded stores, counters are the registry's atomics, load is an atomic
+// pointer, and cursor admission is an atomic reservation counter. A
+// request synchronizes only with other requests for the same session.
 type Server struct {
 	cfg    Config
 	codec  wire.Codec
@@ -190,7 +191,6 @@ type Server struct {
 	// only on session create/close, never on the block hot path.
 	groups streamGroups
 
-	stats   serverStats
 	metrics *serviceMetrics
 }
 
@@ -259,80 +259,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats aggregates service-level counters, exposed at GET /stats.
-// The snapshot method lives in stats.go next to the atomic backing store.
-type Stats struct {
-	// SessionsOpened counts download sessions ever created.
-	SessionsOpened int64 `json:"sessions_opened"`
-	// BlocksServed counts block responses fully written to clients
-	// (replays included — it is the number of completed block serves,
-	// not the number of distinct blocks produced).
-	BlocksServed int64 `json:"blocks_served"`
-	// TuplesServed counts tuples in fully written block responses.
-	TuplesServed int64 `json:"tuples_served"`
-	// BlocksReplayed counts block responses served verbatim from a
-	// session's replay buffer (client retried a seq).
-	BlocksReplayed int64 `json:"blocks_replayed"`
-	// EncodeFailures counts blocks whose codec encoding failed; the
-	// rows stay parked in the session so a same-seq retry can re-encode.
-	EncodeFailures int64 `json:"encode_failures"`
-	// IngestsOpened counts upload sessions ever created.
-	IngestsOpened int64 `json:"ingests_opened"`
-	// BlocksIngested counts blocks received from clients.
-	BlocksIngested int64 `json:"blocks_ingested"`
-	// TuplesIngested counts tuples received from clients.
-	TuplesIngested int64 `json:"tuples_ingested"`
-	// BlocksIngestReplayed counts duplicate upload blocks acknowledged
-	// without re-applying (client retried a seq).
-	BlocksIngestReplayed int64 `json:"blocks_ingest_replayed"`
-	// SessionsShed counts session creations refused by admission control
-	// (503 + Retry-After) because MaxSessions cursors were already open.
-	SessionsShed int64 `json:"sessions_shed"`
-	// PushStreamsOpened counts push streams ever opened (reconnects
-	// included — it is stream opens, not sessions in push mode).
-	PushStreamsOpened int64 `json:"push_streams_opened"`
-	// PushFramesSent counts data frames fully written to push streams
-	// (replays included); every one is also counted in BlocksServed.
-	PushFramesSent int64 `json:"push_frames_sent"`
-	// PushFramesReplayed counts frames re-sent from the retained unacked
-	// tail to a reconnecting stream; also counted in BlocksReplayed.
-	PushFramesReplayed int64 `json:"push_frames_replayed"`
-	// PushCreditGrants counts credit updates accepted on the side channel.
-	PushCreditGrants int64 `json:"push_credit_grants"`
-	// PushCreditStalls counts producer waits that actually blocked on an
-	// exhausted credit window — the server-side backpressure signal.
-	PushCreditStalls int64 `json:"push_credit_stalls"`
-	// StreamSessionsOpened counts sessions created with a stream-group
-	// tag — cursors that were one parallel stream of a larger query.
-	StreamSessionsOpened int64 `json:"stream_sessions_opened"`
-	// PeakGroupStreams is the high-water count of concurrently open
-	// cursors within any single stream group — the server-side view of
-	// the largest parallel fan-out any one client ran.
-	PeakGroupStreams int64 `json:"peak_group_streams"`
-	// StreamGroupsActive counts groups currently holding at least one
-	// open cursor.
-	StreamGroupsActive int `json:"stream_groups_active"`
-	// FaultsInjected counts transport faults fired by the chaos layer,
-	// by kind.
-	FaultsInjected FaultStats `json:"faults_injected"`
-	// Cache snapshots the encoded-block cache (nil when disabled).
-	Cache *blockcache.Stats `json:"cache,omitempty"`
-}
-
-// FaultStats breaks injected faults down by kind.
-type FaultStats struct {
-	Dropped   int64 `json:"dropped"`
-	Truncated int64 `json:"truncated"`
-	Refused   int64 `json:"refused"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Stats()); err != nil {
-		s.logf("encode stats: %v", err)
-	}
-}
-
 // Handler returns the HTTP handler for the service.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -394,11 +320,13 @@ func (s *Server) ExpireIdle(now time.Time) int {
 //
 // The transfer is made idempotent by per-session sequence numbers: a
 // client that sends seq on each pull gets block seq==lastSeq+1 by
-// advancing the iterator, and a verbatim replay of the buffered bytes
+// advancing the iterator, and a verbatim replay of the retained bytes
 // when it re-requests seq==lastSeq — so a lost or truncated response is
 // recovered by retrying the same seq, with no tuple skipped or
 // duplicated. Legacy pulls without seq advance unconditionally, exactly
-// as before.
+// as before. A push stream drives the same cursor through the same
+// commit; the transports differ only in how many committed blocks the
+// tail retains (see tail).
 type session struct {
 	mu   sync.Mutex
 	id   string
@@ -415,21 +343,22 @@ type session struct {
 	// the expiry janitor reads it without racing an in-flight pull.
 	lastUsed atomic.Int64
 	// closed flips when the session is deleted or expired; a pull that
-	// raced the close observes it after locking mu and backs out without
-	// touching the (possibly released) replay buffer.
+	// raced the close observes it after locking mu and backs out.
 	closed atomic.Bool
 
 	// lastSeq is the sequence number of the most recent fresh block
-	// (0 = none served yet); replay buffers that block's response.
+	// (0 = none served yet).
 	lastSeq uint64
-	replay  *replayBlock
+	// tail retains the committed-but-unacked blocks both transports
+	// replay from; it has its own lock, taken after mu.
+	tail tail
 	// cursor is the absolute committed tuple position: the create offset
 	// plus every tuple in committed blocks through lastSeq. Replication
 	// ships it so a follower can resume the query at exactly this row.
 	cursor int64
 	// batch is the reusable row slice NextBlockAppend fills each pull;
 	// safe to reuse because the previous block's rows are fully encoded
-	// into the replay buffer before the next pull starts.
+	// before the next pull starts.
 	batch []minidb.Row
 	// cacheFP is the session's plan fingerprint for the encoded-block
 	// cache (nil when the server runs without one); immutable after
@@ -450,7 +379,7 @@ type session struct {
 
 	// push holds the session's push-stream state once a stream has been
 	// opened (nil while the session is pull-only). Atomic because the
-	// close/expiry paths read it without the session lock; it is set
+	// close path and /credit read it without the session lock; it is set
 	// exactly once, under sess.mu, by the first stream open. A session
 	// with push state refuses further pulls — the two transports share
 	// the seq/replay protocol but not a live cursor.
@@ -460,112 +389,14 @@ type session struct {
 // touch records activity for the expiry janitor.
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 
-// replayBlock is the buffered response of the last served block. Its
-// payload is backed either by a pooled encode buffer (uncached blocks)
-// or by a retained immutable cache entry (cache hits): the backing is
-// released only when the block is superseded by the next committed
-// block or the session closes — never while a retry could still request
-// this seq — so replays serve the exact committed bytes.
-//
-// The backing can have more than one consumer: the session itself (for
-// same-seq replays) and the replication log (which holds the payload
-// until the shipped record is evicted). refs counts them; releaseReplay
-// drops one reference and only pools the buffer (or releases the cache
-// entry) when the last consumer is gone.
-type replayBlock struct {
-	buf     *bytes.Buffer     // pooled encode buffer (nil for cache hits)
-	entry   *blockcache.Entry // retained cache entry (nil for pooled blocks)
-	payload []byte
-	tuples  int
-	done    bool
-	delayMS float64
-	// refs is the number of live references to the backing: 1 for the
-	// owning session, +1 per replication record still retaining the
-	// payload.
-	refs atomic.Int32
-}
-
-// newReplayBlock wraps a committed encode buffer with the session's own
-// reference already counted.
-func newReplayBlock(buf *bytes.Buffer, tuples int, done bool, delayMS float64) *replayBlock {
-	rb := &replayBlock{buf: buf, payload: buf.Bytes(), tuples: tuples, done: done, delayMS: delayMS}
-	rb.refs.Store(1)
-	return rb
-}
-
-// newCachedReplay wraps a cache entry; ownership of the caller's
-// retained reference transfers to the replayBlock, which releases it
-// from releaseReplay when the last consumer is gone.
-func newCachedReplay(ent *blockcache.Entry, delayMS float64) *replayBlock {
-	rb := &replayBlock{entry: ent, payload: ent.Bytes(), tuples: ent.Tuples(), done: ent.Done(), delayMS: delayMS}
-	rb.refs.Store(1)
-	return rb
-}
-
-// retain adds a reference (the replication log is about to hold the
-// payload past the session's own lifetime).
-func (rb *replayBlock) retain() { rb.refs.Add(1) }
-
-// blockBufPool pools the per-pull encode buffers. Ownership rule: a
-// buffer obtained for a pull either travels into the committed
-// replayBlock (released later via releaseReplay) or is returned to the
-// pool on the spot when the pull aborts before commit.
-var blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// testReplayRelease, when non-nil (set only by tests, before traffic),
-// observes every replay-buffer release.
-var testReplayRelease func(rb *replayBlock)
-
-// releaseReplay drops one reference to rb's backing and recycles it when
-// the last reference is gone: a pooled encode buffer goes back to the
-// pool, a cache entry gets its retained reference released. The session
-// calls it when the block is superseded under the session lock or the
-// closed session is unreachable to new pulls; the replication log calls
-// it (via Record.Release) when the shipped record is evicted. Either
-// order is safe — only the final release recycles the backing.
-func releaseReplay(rb *replayBlock) {
-	if rb == nil {
-		return
-	}
-	if rb.refs.Add(-1) > 0 {
-		return
-	}
-	// Only the releaser that took the last reference gets here; the
-	// atomic Add orders it after every other holder's release.
-	if rb.buf == nil && rb.entry == nil {
-		return
-	}
-	if testReplayRelease != nil {
-		testReplayRelease(rb)
-	}
-	if ent := rb.entry; ent != nil {
-		rb.entry, rb.payload = nil, nil
-		ent.Release()
-		return
-	}
-	buf := rb.buf
-	rb.buf, rb.payload = nil, nil
-	buf.Reset()
-	blockBufPool.Put(buf)
-}
-
-// closeSession releases a removed session's pooled resources. If a pull
-// still holds the session lock, the buffers are deliberately NOT pooled
-// (the pull may be writing those bytes); they go to the GC instead —
-// losing a buffer to the GC is always safe, reusing a live one never is.
+// closeSession releases a removed session's retained blocks and wakes a
+// push producer parked on credits. A writer still holding a block keeps
+// its own reference, so nothing it writes is recycled under it.
 func closeSession(sess *session) {
 	sess.closed.Store(true)
+	sess.tail.close()
 	if ps := sess.push.Load(); ps != nil {
-		// Wake a producer parked on credits and release the retained
-		// in-flight frames; the producer's own commit path handles the
-		// closed-race ownership handoff exactly like a pull.
-		ps.close()
-	}
-	if sess.mu.TryLock() {
-		releaseReplay(sess.replay)
-		sess.replay = nil
-		sess.pendingRows, sess.batch = nil, nil
-		sess.mu.Unlock()
+		ps.cond.Broadcast()
 	}
 }
 
@@ -585,9 +416,9 @@ func (s *Server) shipCreate(sess *session, body []byte) {
 
 // shipCommit replicates block lastSeq's commit: the committed cursor and
 // the encoded payload a same-seq retry needs after this process dies.
-// Called under the session lock at the commit point; the record retains
-// the pooled replay buffer (rb.retain) until it falls out of the log,
-// which releases it via Record.Release.
+// Called under both session locks at the commit point; the record
+// retains the block (rb.retain) until it falls out of the log, which
+// releases it via Record.Release.
 func (s *Server) shipCommit(sess *session, rb *replayBlock) {
 	if s.cfg.Replica == nil {
 		return
@@ -719,7 +550,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	committed = true
 	s.groups.join(sess.group)
 	s.shipCreate(sess, body)
-	s.stats.sessionsOpened.Add(1)
 	s.metrics.sessionsOpened.Inc()
 	s.logf("session %s opened: table=%s cols=%v offset=%d group=%s", id, req.Table, req.Columns, req.Offset, req.StreamGroup)
 
@@ -810,7 +640,6 @@ func (s *Server) fillCacheEntry(sess *session, size int) (*blockcache.Entry, err
 		// skip tuples. The same-seq retry sees hasPending and re-encodes
 		// through the uncached path.
 		sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
-		s.stats.encodeFailures.Add(1)
 		s.metrics.encodeFailures.Inc()
 		s.logf("session %s: encode block: %v", sess.id, err)
 		return nil, fmt.Errorf("encode block: %w", err)
@@ -843,7 +672,7 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 			return nil, nil, false, err
 		}
 		// The batch is reusable next pull: by then these rows are either
-		// encoded into the committed replay buffer or parked as pending.
+		// encoded into the committed block or parked as pending.
 		sess.batch = rows
 		sess.iterPos += int64(len(rows))
 	}
@@ -855,7 +684,6 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 		buf.Reset()
 		blockBufPool.Put(buf)
 		sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
-		s.stats.encodeFailures.Add(1)
 		s.metrics.encodeFailures.Inc()
 		s.logf("session %s: encode block: %v", sess.id, err)
 		return nil, nil, false, fmt.Errorf("encode block: %w", err)
@@ -864,39 +692,37 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 	return buf, rows, done, nil
 }
 
-// commitLocked makes rb the session's committed block: the previous
-// replay buffer is superseded, lastSeq advances, the cursor moves past
-// rb's tuples, and the commit is replicated. It reports whether the
-// session was still alive at the commit point. When it returns false
-// the session was deleted or expired while the caller held the lock:
-// closeSession's TryLock failed, its OpClose is already in the
-// replication log, and no future pull can reach this session to release
-// anything — so the buffers were released here, the commit was NOT
-// shipped (an OpCommit landing after the OpClose would resurrect a
-// ghost session on every follower), and the caller must releaseReplay
-// its own rb after writing the bytes it still owes the client. Caller
+// commitLocked makes rb the session's committed block: lastSeq
+// advances, the cursor moves past rb's tuples, the tail retains rb (a
+// pull's commit releases the block it supersedes), and the commit is
+// replicated. It reports whether the session was still alive at the
+// commit point. When it returns false the session was deleted or
+// expired while the caller held the lock: the tail is released and the
+// commit was NOT shipped — an OpCommit landing after the close's
+// OpClose would resurrect a ghost session on every follower. Shipping
+// under the tail lock orders the two: a close either waits for this
+// commit's record to be shipped or makes the commit see it closed.
+// Either way the caller still owns its own reference to rb. Caller
 // holds sess.mu.
 func (s *Server) commitLocked(sess *session, rb *replayBlock) (alive bool) {
-	superseded := sess.replay
 	sess.lastSeq++
 	sess.cursor += int64(rb.tuples)
 	sess.done = rb.done
-	if sess.closed.Load() {
-		sess.replay = nil
-		sess.batch = nil
-		releaseReplay(superseded)
+	t := &sess.tail
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.appendLocked(sess.lastSeq, rb, sess.push.Load() == nil) {
 		return false
 	}
-	sess.replay = rb
 	s.shipCommit(sess, rb)
-	releaseReplay(superseded)
 	return true
 }
 
 // produceBlockLocked advances the session by exactly one block: cache
 // fast path when available, scan+encode otherwise, then the injected
-// delay and the commit. It returns the committed replay block and
-// whether the session survived the commit (see commitLocked). On
+// delay and the commit. It returns the committed block, holding the
+// caller's write reference (release it after writing), and whether the
+// session survived the commit (see commitLocked). On
 // errProduceCancelled nothing was committed and the state is parked for
 // a same-seq retry. Both the pull handler and the push producer drive
 // the session through this single path. Caller holds sess.mu.
@@ -955,7 +781,7 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 
 	// Commit the block before attempting to write it: from here on the
 	// session state says "seq N was produced", and any delivery failure
-	// is recovered by replaying the buffer.
+	// is recovered by replaying it from the tail.
 	rb = newReplayBlock(buf, len(rows), done, delayMS)
 	return rb, s.commitLocked(sess, rb), nil
 }
@@ -1001,8 +827,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 
 	if sess.closed.Load() {
 		// The session was deleted or expired while this pull was between
-		// the store lookup and the lock; its replay buffer may already be
-		// pooled, so back out before touching it.
+		// the store lookup and the lock; its tail is already released.
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
@@ -1014,8 +839,13 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 
 	if hasSeq {
 		switch {
-		case seq == sess.lastSeq && sess.replay != nil:
-			s.serveReplay(w, sess, fault, started)
+		case seq == sess.lastSeq:
+			rb := sess.tail.get(seq)
+			if rb == nil {
+				httpError(w, http.StatusNotFound, "no such session")
+				return
+			}
+			s.writeBlock(w, sess, rb, true, true, fault, started)
 			return
 		case seq == sess.lastSeq+1:
 			// Fresh block, handled below.
@@ -1030,7 +860,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rb, alive, err := s.produceBlockLocked(r.Context(), sess, size)
+	rb, _, err := s.produceBlockLocked(r.Context(), sess, size)
 	if err == errProduceCancelled {
 		return
 	}
@@ -1038,13 +868,9 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	// A session that raced its close still owes the client this block;
+	// the tail never took it, so the write's release is its last.
 	s.writeBlock(w, sess, rb, hasSeq, false, fault, started)
-	if !alive {
-		// The session raced its close while this pull held the lock; the
-		// client still got its block, and releasing this pull's buffer is
-		// our job (see commitLocked).
-		releaseReplay(rb)
-	}
 }
 
 // sleepInterruptible sleeps for d unless the context is cancelled first;
@@ -1063,52 +889,48 @@ func sleepInterruptible(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// serveReplay re-sends the buffered block verbatim.
-func (s *Server) serveReplay(w http.ResponseWriter, sess *session, fault faultKind, started time.Time) {
-	s.stats.blocksReplayed.Add(1)
-	s.metrics.blocksReplayed.Inc()
-	s.writeBlock(w, sess, sess.replay, true, true, fault, started)
-}
-
-// writeBlock writes one block response (fresh or replayed), applying any
-// injected drop/truncate fault, and accounts served stats only after the
-// payload is fully written. started is when the pull entered the handler;
-// the served wall time (injected delay included) feeds the block-RTT
-// histogram the SLO regulator closes its loop on.
+// writeBlock writes one pull response (fresh or replayed), consuming
+// the caller's reference: the block's metadata as response headers, its
+// payload as the body. Caller holds sess.mu, so the seq header reads
+// lastSeq under the lock.
 func (s *Server) writeBlock(w http.ResponseWriter, sess *session, rb *replayBlock, hasSeq, replayed bool, fault faultKind, started time.Time) {
-	if fault == faultDrop {
-		s.countFault(fault)
-		s.logf("session %s: injected fault: dropping connection", sess.id)
-		abortConnection()
-	}
-	w.Header().Set("Content-Type", s.codec.ContentType())
-	w.Header().Set(HeaderBlockTuples, strconv.Itoa(rb.tuples))
-	w.Header().Set(HeaderBlockDone, strconv.FormatBool(rb.done))
-	w.Header().Set(HeaderInjectedDelayMS, strconv.FormatFloat(rb.delayMS, 'f', 3, 64))
+	h := w.Header()
+	h.Set("Content-Type", s.codec.ContentType())
+	h.Set(HeaderBlockTuples, strconv.Itoa(rb.tuples))
+	h.Set(HeaderBlockDone, strconv.FormatBool(rb.done))
+	h.Set(HeaderInjectedDelayMS, strconv.FormatFloat(rb.delayMS, 'f', 3, 64))
 	if hasSeq {
-		w.Header().Set(HeaderBlockSeq, strconv.FormatUint(sess.lastSeq, 10))
+		h.Set(HeaderBlockSeq, strconv.FormatUint(sess.lastSeq, 10))
 	}
 	if replayed {
-		w.Header().Set(HeaderBlockReplay, "true")
+		h.Set(HeaderBlockReplay, "true")
 	}
-	if fault == faultTruncate {
-		s.countFault(fault)
-		s.logf("session %s: injected fault: truncating response", sess.id)
-		w.Header().Set("Content-Length", strconv.Itoa(len(rb.payload)))
-		_, _ = w.Write(rb.payload[:len(rb.payload)/2])
-		abortConnection()
-	}
-	if _, err := w.Write(rb.payload); err != nil {
+	_ = s.serveBlock(w, sess, rb, fault, replayed, false, started, func(dst io.Writer) error {
+		_, err := dst.Write(rb.payload)
+		return err
+	})
+}
+
+// serveBlock is the one site where either transport writes a committed
+// block. encode renders the block onto the wire: the bare payload under
+// pull (its metadata already set as response headers), a frame under
+// push. Any injected drop or truncate fault fires first, on exactly
+// those bytes; the block is accounted once fully written, and a push
+// frame is flushed so the client sees it without waiting for the next.
+// It consumes the caller's reference to rb, also when a fault aborts
+// the connection.
+func (s *Server) serveBlock(w http.ResponseWriter, sess *session, rb *replayBlock, fault faultKind, replayed, push bool, started time.Time, encode func(io.Writer) error) error {
+	defer releaseReplay(rb)
+	s.injectFault(w, sess.id, fault, encode)
+	if err := encode(w); err != nil {
 		s.logf("session %s: write block: %v", sess.id, err)
-		return
+		return err
 	}
-	s.stats.blocksServed.Add(1)
-	s.stats.tuplesServed.Add(int64(rb.tuples))
-	s.metrics.blocksServed.Inc()
-	s.metrics.tuplesServed.Add(int64(rb.tuples))
-	s.metrics.blockSize.Observe(float64(rb.tuples))
-	s.metrics.blockDelay.Observe(rb.delayMS)
-	s.metrics.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
+	if push {
+		w.(http.Flusher).Flush()
+	}
+	s.accountServed(rb, replayed, push, started)
+	return nil
 }
 
 // BlockServeSnapshot freezes the served-block wall-time histogram. The
